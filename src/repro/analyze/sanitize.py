@@ -498,17 +498,15 @@ def check_wait_reconcile(stats: "StatsRegistry", wait_us: int,
     same monotonic clock and the same thread, and each charge rounds down
     to whole microseconds, so Σ waits ≤ elapsed holds *mathematically* for
     correct instrumentation — a violation means a suspension was charged
-    twice (nested ``wait_timer`` regions) or charged from a thread the
-    clock does not cover.  The registry's ``request_clock`` runs this on
-    every exit while sanitizers are armed.
+    twice (nested ``wait_timer`` regions).  The registry's
+    ``request_clock`` runs this on every exit while sanitizers are armed.
     """
     stats.add("sanitize.checks")
     if wait_us > elapsed_us:
         trip(stats, "waits.reconcile",
              f"wait clock charged {wait_us}us of suspensions into an "
              f"interval only {elapsed_us}us long — a wait class was "
-             f"double-charged (nested wait_timer?) or charged from a "
-             f"thread this clock does not cover")
+             f"double-charged (nested wait_timer?)")
 
 
 # -- WAL -------------------------------------------------------------------

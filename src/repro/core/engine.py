@@ -18,6 +18,7 @@ import random
 import threading
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, TypeVar
@@ -339,7 +340,9 @@ class Database:
         path = cached_parse(path_text, namespaces, stats=self.stats)
         if not isinstance(path, ast.LocationPath):
             raise QueryError(f"{path_text!r} is not a location path")
-        return self.planner(table, column).plan(path, force_method=method)
+        plan = self.planner(table, column).plan(path, force_method=method)
+        plan.text = path_text
+        return plan
 
     def xpath(self, table: str, column: str, path_text: str,
               namespaces: dict[str, str] | None = None,
@@ -347,48 +350,11 @@ class Database:
         """Evaluate an XPath query over one XML column.
 
         Returns one result per matched node, joined back to the base row
-        through the DocID index (Fig. 2).
-
-        With any ``EngineConfig.slow_query_*`` threshold set, the query
-        runs under a private tracer and its counter deltas are checked on
-        completion: offenders land in :attr:`slow_queries` with their plan
-        and span tree (see :mod:`repro.obs.slowlog`).
+        through the DocID index (Fig. 2).  Plans with :meth:`plan_xpath`
+        and runs the plan with :meth:`execute_plan`.
         """
-        if not self._slow_thresholds:
-            return self._xpath(table, column, path_text, namespaces,
-                               method)[1]
-        tracer = Tracer(self.stats, name="slow_query")
-        with tracer.install():
-            with self.stats.delta() as deltas:
-                plan, out = self._xpath(table, column, path_text,
-                                        namespaces, method)
-        exceeded = {
-            name: (deltas.get(name, 0), limit)
-            for name, limit in self._slow_thresholds.items()
-            if deltas.get(name, 0) > limit
-        }
-        if exceeded:
-            self.stats.add("obs.slow_queries")
-            self.slow_queries.emit(SlowQueryRecord(
-                table=table, column=column, path=path_text,
-                method=plan.method.value, rows=len(out),
-                counters=deltas, exceeded=exceeded,
-                plan_text=plan.explain(), root=tracer.root))
-        return out
-
-    def _xpath(self, table: str, column: str, path_text: str,
-               namespaces: dict[str, str] | None = None,
-               method: AccessMethod | None = None
-               ) -> tuple[AccessPlan, list[XPathResult]]:
-        with self.stats.trace("db.xpath", table=table, column=column,
-                              path=path_text) as span:
-            plan = self.plan_xpath(table, column, path_text, namespaces,
-                                   method)
-            out = self.execute_plan(table, column, plan)
-            if span is not None:
-                span.set("method", plan.method.value)
-                span.set("rows", len(out))
-            return plan, out
+        plan = self.plan_xpath(table, column, path_text, namespaces, method)
+        return self.execute_plan(table, column, plan)
 
     def execute_plan(self, table: str, column: str,
                      plan: AccessPlan) -> list[XPathResult]:
@@ -399,23 +365,54 @@ class Database:
         per execution.  Note a cached plan reflects the indexes that
         existed when it was planned; DDL invalidates it (the session cache
         drops plans on DDL, ad-hoc callers should re-plan).
+
+        Every query runs here — :meth:`xpath`, :meth:`explain_analyze`,
+        served ``Session.query`` calls and SQL/XML ``XMLEXISTS`` — so this
+        is the one place that captures them.  With a tracer installed on
+        the calling thread the query becomes its ``db.xpath`` span.  With
+        any ``EngineConfig.slow_query_*`` threshold set, the query runs
+        under a private tracer if none is installed, and the span's
+        counters (this thread's execution and join work) are checked on
+        completion: offenders land in :attr:`slow_queries` with their plan
+        and span tree (see :mod:`repro.obs.slowlog`).
         """
-        store = self._store(table, column)
-        matches = Executor(store, stats=self.stats).execute(plan)
-        with self.stats.trace("db.docid_join") as join_span:
-            docid_index = self.docid_indexes[table]
-            base_table = self.tables[table]
-            out = []
-            for match in matches:
-                rid_bytes = docid_index.search_one(
-                    match.docid.to_bytes(8, "big"))
-                if rid_bytes is None:  # pragma: no cover - index skew
-                    continue
-                base_rid = Rid.from_bytes(rid_bytes)
-                out.append(XPathResult(match.docid, base_rid,
-                                       base_table.fetch(base_rid), match))
-            if join_span is not None:
-                join_span.set("rows", len(out))
+        thresholds = self._slow_thresholds
+        capture = (Tracer(self.stats, name="slow_query").install()
+                   if thresholds and self.stats.tracer is None
+                   else nullcontext())
+        with capture, self.stats.trace(
+                "db.xpath", table=table, column=column, path=plan.text,
+                method=plan.method.value) as span:
+            store = self._store(table, column)
+            matches = Executor(store, stats=self.stats).execute(plan)
+            with self.stats.trace("db.docid_join") as join_span:
+                docid_index = self.docid_indexes[table]
+                base_table = self.tables[table]
+                out = []
+                for match in matches:
+                    rid_bytes = docid_index.search_one(
+                        match.docid.to_bytes(8, "big"))
+                    if rid_bytes is None:  # pragma: no cover - index skew
+                        continue
+                    base_rid = Rid.from_bytes(rid_bytes)
+                    out.append(XPathResult(match.docid, base_rid,
+                                           base_table.fetch(base_rid), match))
+                if join_span is not None:
+                    join_span.set("rows", len(out))
+            if span is not None:
+                span.set("rows", len(out))
+        if not thresholds:
+            return out
+        exceeded = {name: (span.counter(name), limit)
+                    for name, limit in thresholds.items()
+                    if span.counter(name) > limit}
+        if exceeded:
+            self.stats.add("obs.slow_queries")
+            self.slow_queries.emit(SlowQueryRecord(
+                table=table, column=column, path=plan.text,
+                method=plan.method.value, rows=len(out),
+                counters=span.counters, exceeded=exceeded,
+                plan_text=plan.explain(), root=span))
         return out
 
     def explain_analyze(self, table: str, column: str, path_text: str,
@@ -426,22 +423,17 @@ class Database:
         Returns an :class:`~repro.obs.explain.ExplainResult` pairing the
         chosen :class:`AccessPlan` with the captured span tree: actual row
         counts, per-operator counter deltas (index entries scanned, page
-        touches, physical reads) and the evaluated candidates — DB2-style
-        EXPLAIN output for the planner of §5.
+        touches, physical reads) and the result rows — DB2-style EXPLAIN
+        output for the planner of §5.
 
-        A fresh tracer is installed on this database's stats registry for
-        the duration of the call (nesting with an outer tracer is fine; the
-        outer one is restored afterwards).
+        The plan runs through :meth:`execute_plan` under a fresh tracer
+        installed on the calling thread (nesting with an outer tracer is
+        fine; the outer one is restored afterwards).
         """
         plan = self.plan_xpath(table, column, path_text, namespaces, method)
-        store = self._store(table, column)
         tracer = Tracer(self.stats, name="explain_analyze")
         with tracer.install():
-            with tracer.span("query", table=table, column=column,
-                             path=path_text,
-                             method=plan.method.value) as span:
-                matches = Executor(store, stats=self.stats).execute(plan)
-                span.set("rows", len(matches))
+            matches = self.execute_plan(table, column, plan)
         return ExplainResult(plan, matches, tracer.root)
 
     def serialize_result(self, table: str, column: str,

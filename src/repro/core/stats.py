@@ -12,8 +12,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import contextmanager, nullcontext
+from typing import Any, Iterator, Mapping
 
 from repro.analyze import sanitize as _sanitize
 
@@ -162,6 +162,16 @@ def wait_counter(wait_class: str) -> str:
     return "waits." + wait_class.replace(".", "_") + "_us"
 
 
+def wait_breakdown(counters: Mapping[str, int]) -> dict[str, int]:
+    """Per-class microseconds charged in ``counters`` (non-zero only)."""
+    out: dict[str, int] = {}
+    for wait_class in sorted(WAITS):
+        micros = counters.get(wait_counter(wait_class), 0)
+        if micros:
+            out[wait_class] = micros
+    return out
+
+
 class Histogram:
     """A power-of-two bucketed distribution with count/sum/max.
 
@@ -238,49 +248,23 @@ class StatsRegistry:
     """A named bag of monotonically increasing counters.
 
     Counters are created on first use, so layers do not need to pre-declare
-    what they report.  Well-known counter names used across the engine:
+    what they report; the machine-checked list of names, grouped by layer,
+    is :data:`METRICS` (a new metric must be added there — the
+    ``stats-hygiene`` checker enforces it).
 
-    ``disk.page_reads`` / ``disk.page_writes``
-        physical page transfers on the simulated device
-    ``buffer.hits`` / ``buffer.misses`` / ``buffer.evictions``
-        buffer-pool behaviour
-    ``btree.searches`` / ``btree.inserts`` / ``btree.deletes`` /
-    ``btree.entries_scanned``
-        index-manager traffic
-    ``ts.records_read`` / ``ts.records_inserted`` / ``ts.bytes_touched``
-        table-space record traffic
-    ``wal.records`` / ``wal.bytes`` / ``wal.checkpoints``
-        log volume and checkpoint activity
-    ``lock.acquired`` / ``lock.waits`` / ``lock.wait_steps`` /
-    ``lock.deadlocks``
-        lock-manager behaviour
-    ``txn.begun`` / ``txn.aborts`` / ``txn.retries`` /
-    ``txn.deadlock_aborts`` / ``txn.timeout_aborts`` /
-    ``txn.deadlocks`` / ``txn.lock_timeouts``
-        transaction outcomes, including deadlock/timeout victims and the
-        retry machinery
-    ``fault.injected`` / ``fault.crashes`` / ``disk.checksum_failures``
-        fault-injection activity and checksum verification failures
-    ``recovery.replayed`` / ``recovery.torn_tail_dropped`` /
-    ``recovery.from_checkpoint``
-        restart-recovery behaviour (records redone, torn WAL tails
-        dropped, analysis passes started from a checkpoint)
-    ``xscan.events`` / ``xscan.matchings`` / ``xscan.peak_units``
-        QuickXScan work
-    ``xpath.parse_hits`` / ``xpath.parse_misses`` /
-    ``xpath.compile_hits`` / ``xpath.compile_misses``
-        XPath parse/compile cache behaviour (:mod:`repro.xpath.cache`)
-    ``sanitize.checks`` / ``sanitize.*``
-        runtime invariant sanitizer activity: checks performed and trips
-        per invariant (:mod:`repro.analyze.sanitize`)
-
-    The full machine-checked list lives in :data:`METRICS`; a new metric
-    must be added there (the ``stats-hygiene`` checker enforces it).
-
-    A registry can additionally carry a :class:`~repro.obs.tracer.Tracer`
-    (``stats.tracer``); components open spans through :meth:`trace` /
+    Each thread can additionally carry a
+    :class:`~repro.obs.tracer.Tracer` (``stats.tracer`` reads the calling
+    thread's); components open spans through :meth:`trace` /
     :meth:`trace_event`, which are reusable no-ops while no tracer is
     installed, so permanent instrumentation stays ~free.
+
+    Every :meth:`add` lands in up to three places: the global counter, the
+    calling thread's accounting sink (:meth:`charge`), and the innermost
+    :meth:`frame` open on the calling thread.  Frames are the one
+    attribution mechanism: span counters, wait-clock breakdowns
+    (:meth:`request_clock`), slow-query deltas and EXPLAIN ANALYZE actuals
+    are all views of closed frames, so none of them sees another thread's
+    work.
 
     The registry is **thread-safe**: counter/gauge/histogram mutation is
     guarded by internal locks *striped by metric name* (a read-modify-write
@@ -288,11 +272,11 @@ class StatsRegistry:
     metrics have no reason to serialize on one hot lock — the same IRLM
     hashing idea as the striped lock manager).  Whole-map reads
     (:meth:`snapshot`, :meth:`counters`, :meth:`delta`, :meth:`reset`)
-    take every stripe in index order for a consistent copy.  The
-    accounting sink of :meth:`charge` is *per-thread* — each serving-layer
-    worker charges the transaction it is running, concurrently, without
-    cross-attributing work.  This is what keeps the "per-txn deltas sum to
-    global deltas" reconciliation invariant true under concurrent sessions.
+    take every stripe in index order for a consistent copy.  Sinks and
+    frames are *per-thread* — each serving-layer worker charges the
+    transaction it is running, concurrently, without cross-attributing
+    work.  This is what keeps the "per-txn deltas sum to global deltas"
+    reconciliation invariant true under concurrent sessions.
     """
 
     _STRIPES = 8
@@ -301,17 +285,23 @@ class StatsRegistry:
         self._counters: Counter[str] = Counter()
         self._gauges: dict[str, int] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: Installed tracer (see :class:`repro.obs.tracer.Tracer`), or None.
-        #: Duck-typed (``Any``) so the substrate never imports ``repro.obs``.
-        self.tracer: Any = None
         #: Installed structured event trace
         #: (see :class:`repro.obs.events.EventTrace`), or None.  Duck-typed
         #: like the tracer so the substrate never imports ``repro.obs``.
         self.events: Any = None
         #: Name-striped locks guarding the shared maps above.
         self._locks = [threading.Lock() for _ in range(self._STRIPES)]
-        #: Per-thread innermost accounting sink — see :meth:`charge`.
-        self._local = threading.local()
+        #: Per-thread sink, frame and tracer — see :class:`_ThreadState`.
+        self._local = _ThreadState()
+
+    @property
+    def tracer(self) -> Any:
+        """The calling thread's installed (duck-typed) tracer, or None."""
+        return self._local.tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Any) -> None:
+        self._local.tracer = tracer
 
     def _lock_for(self, name: str) -> threading.Lock:
         return self._locks[hash(name) % self._STRIPES]
@@ -332,9 +322,11 @@ class StatsRegistry:
 
         If the calling thread has an accounting sink installed (see
         :meth:`charge`), the increment is mirrored there, attributing the
-        work to whichever transaction that thread is running.
+        work to whichever transaction that thread is running; if it has a
+        :meth:`frame` open, the innermost one counts it too.
         """
-        sink = getattr(self._local, "sink", None)
+        local = self._local
+        sink = local.sink
         if sink is not None and name.startswith("sanitize."):
             # Sanitizer bookkeeping is observation, not transaction work:
             # charging it to the running txn's accounting record would make
@@ -346,6 +338,9 @@ class StatsRegistry:
             self._counters[name] += amount
             if sink is not None:
                 sink[name] += amount
+        frame = local.frame
+        if frame is not None:
+            frame[name] += amount
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never touched)."""
@@ -442,40 +437,60 @@ class StatsRegistry:
                 if span is not None:
                     span.set("hits", len(out))
         """
-        tracer = self.tracer
+        tracer = self._local.tracer
         if tracer is None:
             return _NULL_TRACE
         return tracer.span(name, **attrs)
 
     def trace_event(self, name: str, **attrs: object) -> None:
         """Record a point event on the installed tracer, if any."""
-        tracer = self.tracer
+        tracer = self._local.tracer
         if tracer is not None:
             tracer.event(name, **attrs)
+
+    # -- per-thread attribution -------------------------------------------
+
+    @contextmanager
+    def frame(self) -> Iterator["Counter[str]"]:
+        """Count the calling thread's :meth:`add` calls over the block.
+
+        Yields a Counter that every increment on this thread lands in while
+        it is the innermost open frame.  On exit the frame folds into the
+        frame enclosing it, so once nested frames have closed, a frame holds
+        everything its block did on this thread — and nothing any other
+        thread did meanwhile.  Frames nest like the blocks that open them
+        (spans, wait clocks, query capture).
+        """
+        local = self._local
+        parent = local.frame
+        counts: Counter[str] = Counter()
+        local.frame = counts
+        try:
+            yield counts
+        finally:
+            local.frame = parent
+            if parent is not None:
+                parent.update(counts)
 
     # -- wait-state accounting (DB2 class-3 suspension analogue) ----------
 
     def charge_wait(self, wait_class: str, micros: int) -> None:
         """Charge ``micros`` of suspension time to ``wait_class``.
 
-        The charge lands in three places at once: the global
-        ``waits.<class>_us`` counter (and, through the thread's accounting
-        sink, the running transaction's per-txn breakdown — which is what
-        makes wait fields fold across victim retries for free), every wait
-        clock open on this thread (see :meth:`request_clock`), and — when a
+        The charge is an :meth:`add` of the ``waits.<class>_us`` counter, so
+        it reaches the running transaction's per-txn breakdown through the
+        thread's accounting sink (which is what makes wait fields fold
+        across victim retries for free) and every wait clock open on this
+        thread through its frame (see :meth:`request_clock`).  When a
         structured event trace is installed with the PERFORMANCE class
-        enabled — a ``wait.<class>`` trace event.  Zero-microsecond waits
-        are dropped: a suspension that never suspended is not a wait, and
-        recording it would materialize noise counters in deterministic
-        baselines.
+        enabled it also emits a ``wait.<class>`` trace event.
+        Zero-microsecond waits are dropped: a suspension that never
+        suspended is not a wait, and recording it would materialize noise
+        counters in deterministic baselines.
         """
         if micros <= 0:
             return
         self.add(wait_counter(wait_class), int(micros))
-        frames = getattr(self._local, "wait_frames", None)
-        if frames:
-            for frame in frames:
-                frame[wait_class] = frame.get(wait_class, 0) + int(micros)
         events = self.events
         if events is not None:
             events.performance("wait." + wait_class, us=int(micros))
@@ -503,36 +518,32 @@ class StatsRegistry:
                       ) -> Iterator[dict[str, int]]:
         """Open a per-request/per-txn wait clock on the calling thread.
 
-        Yields the breakdown dict (wait class -> microseconds) that every
-        :meth:`charge_wait` on this thread fills while the block runs.
-        Clocks stack: a transaction clock inside a serving-layer request
-        clock sees only its own waits, while the outer request clock sees
-        both.  On exit the total is observed into the
+        The clock is a :meth:`frame`; it yields a dict that is filled with
+        the frame's breakdown (wait class -> microseconds) when the block
+        exits.  Clocks nest: a transaction clock inside a serving-layer
+        request clock sees only its own waits, while the outer request
+        clock sees both.  On exit the total is observed into the
         ``waits.request_wait_us`` histogram and — when sanitizers are
         armed — reconciled against the clock's own elapsed time
         (``sanitize.waits.reconcile`` trips if Σ waits > elapsed, which
-        can only mean a wait was double-charged or charged from the wrong
-        thread).  ``started_ns`` backdates the clock (the serving layer
-        passes the request's submit timestamp so the admission-queue wait
-        is inside the clocked interval).
+        can only mean a wait was double-charged).  ``started_ns``
+        backdates the clock (the serving layer passes the request's
+        submit timestamp so the admission-queue wait is inside the
+        clocked interval).
         """
         start = time.monotonic_ns() if started_ns is None else started_ns
-        frame: dict[str, int] = {}
-        frames = getattr(self._local, "wait_frames", None)
-        if frames is None:
-            frames = []
-            self._local.wait_frames = frames
-        frames.append(frame)
-        try:
-            yield frame
-        finally:
-            frames.pop()
-            elapsed_us = (time.monotonic_ns() - start) // 1000
-            total = sum(frame.values())
-            if total > 0:
-                self.observe("waits.request_wait_us", total)
-            if _sanitize.enabled():
-                _sanitize.check_wait_reconcile(self, total, elapsed_us)
+        waits: dict[str, int] = {}
+        with self.frame() as counts:
+            try:
+                yield waits
+            finally:
+                waits.update(wait_breakdown(counts))
+                elapsed_us = (time.monotonic_ns() - start) // 1000
+                total = sum(waits.values())
+                if total > 0:
+                    self.observe("waits.request_wait_us", total)
+                if _sanitize.enabled():
+                    _sanitize.check_wait_reconcile(self, total, elapsed_us)
 
     @contextmanager
     def charge(self, sink: "Counter[str] | None") -> Iterator[None]:
@@ -551,12 +562,13 @@ class StatsRegistry:
         only the transaction it is running, so concurrent sessions cannot
         cross-attribute work (the PR 4 reconciliation invariant).
         """
-        previous = getattr(self._local, "sink", None)
-        self._local.sink = sink
+        local = self._local
+        previous = local.sink
+        local.sink = sink
         try:
             yield
         finally:
-            self._local.sink = previous
+            local.sink = previous
 
     @contextmanager
     def delta(self) -> Iterator[dict[str, int]]:
@@ -568,6 +580,10 @@ class StatsRegistry:
             with stats.delta() as d:
                 run_query()
             print(d.get("disk.page_reads", 0))
+
+        Unlike a :meth:`frame`, this diffs the whole registry, so it counts
+        every thread's work: it is the all-thread reference that the
+        accounting-reconciliation tests compare per-txn sinks against.
         """
         with self._all_locks():
             before = dict(self._counters)
@@ -587,19 +603,21 @@ class StatsRegistry:
         return f"StatsRegistry({body})"
 
 
-class _NullTrace:
-    """Reusable, reentrant no-op span context (the untraced fast path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
+#: The untraced span: a reusable, reentrant no-op context yielding None.
+_NULL_TRACE = nullcontext()
 
 
-_NULL_TRACE = _NullTrace()
+class _ThreadState(threading.local):
+    """One thread's attribution state (class attributes are the defaults).
+
+    ``sink`` is the innermost accounting sink (:meth:`StatsRegistry.charge`),
+    ``frame`` the innermost open frame (:meth:`StatsRegistry.frame`) and
+    ``tracer`` the installed tracer (:attr:`StatsRegistry.tracer`).
+    """
+
+    sink: "Counter[str] | None" = None
+    frame: "Counter[str] | None" = None
+    tracer: Any = None
 
 
 #: Registry used by components that are not handed an explicit one.

@@ -2,12 +2,14 @@
 
 The paper's infrastructure box (Fig. 1) lists *instrumentation* among the
 relational assets the XML engine inherits.  :mod:`repro.core.stats` provides
-the flat counter bag; this package adds the hierarchical view on top of it:
+the flat counter bag and its one attribution mechanism, a per-thread stack
+of frames (``StatsRegistry.frame``) that every ``add`` also bumps; this
+package adds the hierarchical view on top of it:
 
 * :class:`~repro.obs.tracer.Span` / :class:`~repro.obs.tracer.Tracer` — a
-  span tree whose every node captures the :class:`StatsRegistry` counter
-  deltas between enter and exit, so "how many page reads did this B+tree
-  probe cost" falls out of the existing accounting;
+  span tree, installed on one thread, whose every node is a frame holding
+  the counters its thread added between enter and exit, so "how many page
+  reads did this B+tree probe cost" falls out of the existing accounting;
 * :class:`~repro.obs.explain.ExplainResult` — the DB2-style EXPLAIN ANALYZE
   surface returned by :meth:`repro.core.engine.Database.explain_analyze`:
   the chosen :class:`~repro.query.plan.AccessPlan` annotated with actual
@@ -17,8 +19,9 @@ the flat counter bag; this package adds the hierarchical view on top of it:
 * :class:`~repro.obs.monitor.Monitor` — DISPLAY-style snapshots of live
   engine state (buffer pool, lock table + waits-for DOT, WAL, transaction
   table, per-table-space/per-index footprints);
-* :class:`~repro.obs.slowlog.SlowQueryLog` — bounded ring of auto-captured
-  offender queries (plan + span tree + counter deltas);
+* :class:`~repro.obs.slowlog.SlowQueryLog` — bounded ring of offender
+  queries (plan + span tree + counters), captured in
+  ``Database.execute_plan``, which every query runs through;
 * :mod:`repro.obs.exporters` — Prometheus-text and JSON exposition of
   counters/gauges/histograms;
 * :mod:`repro.obs.waits` — the reading side of the wait clock: per-class
@@ -36,8 +39,8 @@ the flat counter bag; this package adds the hierarchical view on top of it:
   human-readable accounting/statistics report.
 
 Tracing is opt-in: components call ``self.stats.trace("name")`` which is a
-reusable no-op unless a :class:`Tracer` is installed on the registry, so the
-uninstrumented cost is ~zero.
+reusable no-op unless a :class:`Tracer` is installed on the calling thread,
+so the uninstrumented cost is ~zero.
 """
 
 from repro.obs.events import (EventClass, EventRecord, EventTrace,

@@ -2,8 +2,9 @@
 
 DB2's EXPLAIN facility is part of the relational infrastructure the paper
 builds on; :meth:`repro.core.engine.Database.explain_analyze` is its analogue
-here.  The query runs for real under a :class:`~repro.obs.tracer.Tracer`,
-and the result pairs the planner's :class:`~repro.query.plan.AccessPlan`
+here.  The query runs for real through ``Database.execute_plan`` — the path
+every query takes — under a :class:`~repro.obs.tracer.Tracer`, and the
+result pairs the planner's :class:`~repro.query.plan.AccessPlan`
 (§4.3, Table 2) with the span tree of what actually happened: per-operator
 row counts, index entries scanned, logical page touches and physical I/O.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.export import span_to_dict, trace_to_json
+from repro.obs.export import span_to_dict
 from repro.obs.tracer import Span
 from repro.query.plan import AccessPlan
 
@@ -29,7 +30,8 @@ class ExplainResult:
     """The outcome of one EXPLAIN ANALYZE run."""
 
     plan: AccessPlan
-    #: The query's actual result rows (EXPLAIN ANALYZE executes for real).
+    #: The query's actual result rows (``XPathResult``s; EXPLAIN ANALYZE
+    #: executes for real).
     matches: list = field(default_factory=list)
     #: Root of the captured span tree.
     root: Span = field(default_factory=lambda: Span("explain"))
@@ -107,8 +109,3 @@ class ExplainResult:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def trace_json(result: ExplainResult) -> str:
-    """The span tree alone, as JSON (benchmark artifacts)."""
-    return trace_to_json(result.root)

@@ -1,11 +1,12 @@
 """Slow-query log: auto-captured evidence for queries that blew a budget.
 
 The DB2 analogue is the performance trace one turns on *after* noticing a
-problem; here the engine watches every ``Database.xpath`` call's counter
-deltas against the ``EngineConfig.slow_query_*`` thresholds and, for
-offenders, keeps the whole story — chosen access plan, span tree, counter
-deltas, and which thresholds were exceeded — in a bounded ring buffer
-(``Database.slow_queries``).  Queries under threshold leave no trace behind.
+problem; here ``Database.execute_plan`` — which every query runs through —
+checks each query's counters against the ``EngineConfig.slow_query_*``
+thresholds and, for offenders, keeps the whole story — chosen access plan,
+span tree, counters, and which thresholds were exceeded — in a bounded ring
+buffer (``Database.slow_queries``).  Queries under threshold leave no trace
+behind.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ class SlowQueryRecord:
     path: str
     method: str
     rows: int
-    #: Counter deltas over the whole query (planning + execution + join).
+    #: Counters the executing thread added over the query's execution and
+    #: DocID join (planning is not included).
     counters: dict[str, int] = field(default_factory=dict)
     #: ``{counter name: (observed delta, threshold)}`` for every threshold
     #: the query exceeded.
     exceeded: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: The planner's explanation of the chosen access plan.
     plan_text: str = ""
-    #: Root of the span tree captured while the query ran.
+    #: The query's ``db.xpath`` span (root of the span tree it captured).
     root: Span = field(default_factory=lambda: Span("slow_query"))
 
     def format(self) -> str:

@@ -1,12 +1,14 @@
 """Hierarchical spans over the engine's counter registry.
 
-A :class:`Tracer` installs itself on a :class:`~repro.core.stats.StatsRegistry`
-(``stats.tracer``); every layer of the engine opens spans through
-``stats.trace("btree.search")`` without knowing whether anything is listening.
-On exit each span records the registry's counter deltas between its enter and
-exit, so the span tree is a hierarchical decomposition of the same numbers
-EXPERIMENTS.md reports globally — page I/O, index traffic, lock waits —
-attributed to the operator that caused them.
+A :class:`Tracer` installs itself on the calling thread of a
+:class:`~repro.core.stats.StatsRegistry` (``stats.tracer``); every layer of
+the engine opens spans through ``stats.trace("btree.search")`` without
+knowing whether anything is listening.  Each span is a registry frame
+(:meth:`~repro.core.stats.StatsRegistry.frame`): it counts what its thread
+added between enter and exit, so the span tree is a hierarchical
+decomposition of the same numbers EXPERIMENTS.md reports globally — page
+I/O, index traffic, lock waits — attributed to the operator that caused
+them, and never to work another thread did in the meantime.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from repro.core.stats import StatsRegistry
 
 
 class Span:
-    """One node of a trace: a named operation with attributes, counter
-    deltas (inclusive of children) and child spans."""
+    """One node of a trace: a named operation with attributes, the
+    counters its thread added (inclusive of children) and child spans."""
 
     __slots__ = ("name", "attrs", "children", "counters", "kind")
 
@@ -28,7 +30,7 @@ class Span:
         self.name = name
         self.attrs: dict[str, object] = dict(attrs) if attrs else {}
         self.children: list[Span] = []
-        #: Counter deltas observed between enter and exit (inclusive).
+        #: Counters this span's thread added between enter and exit.
         self.counters: dict[str, int] = {}
         self.kind = kind
 
@@ -89,8 +91,9 @@ class Tracer:
         print(tracer.root.format())
 
     Spans nest by runtime call order: the innermost open span is the parent
-    of any span opened inside it.  The tracer is single-threaded, like the
-    engine itself.
+    of any span opened inside it.  A tracer is installed on one thread —
+    the one that calls :meth:`install` — so it records that thread's spans
+    and counters only; two threads tracing at once use two tracers.
     """
 
     def __init__(self, stats: StatsRegistry, name: str = "trace") -> None:
@@ -104,12 +107,12 @@ class Tracer:
         span = Span(name, attrs)
         self._stack[-1].children.append(span)
         self._stack.append(span)
-        before = self.stats.counters()
-        try:
-            yield span
-        finally:
-            span.counters = self._delta_since(before)
-            self._stack.pop()
+        with self.stats.frame() as counts:
+            try:
+                yield span
+            finally:
+                span.counters = dict(+counts)
+                self._stack.pop()
 
     def event(self, name: str, **attrs: object) -> Span:
         """Record a point event (a childless span with no deltas)."""
@@ -119,24 +122,16 @@ class Tracer:
 
     @contextmanager
     def install(self) -> Iterator["Tracer"]:
-        """Attach to the registry for the duration of the block.
+        """Attach to the calling thread for the duration of the block.
 
-        Also captures the root span's counter deltas, and restores any
+        Also captures the root span's counters, and restores the thread's
         previously installed tracer on exit (tracers may nest).
         """
         previous = self.stats.tracer
         self.stats.tracer = self
-        before = self.stats.counters()
-        try:
-            yield self
-        finally:
-            self.root.counters = self._delta_since(before)
-            self.stats.tracer = previous
-
-    def _delta_since(self, before: dict[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for name, value in self.stats.counters().items():
-            diff = value - before.get(name, 0)
-            if diff:
-                out[name] = diff
-        return out
+        with self.stats.frame() as counts:
+            try:
+                yield self
+            finally:
+                self.root.counters = dict(+counts)
+                self.stats.tracer = previous

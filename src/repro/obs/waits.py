@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.stats import WAITS, StatsRegistry, wait_counter
+from repro.core.stats import (WAITS, StatsRegistry, wait_breakdown,
+                              wait_counter)
 
 #: Stable rendering order: biggest architectural layers first.
 WAIT_CLASS_ORDER: tuple[str, ...] = (
@@ -29,21 +30,6 @@ WAIT_CLASS_ORDER: tuple[str, ...] = (
 
 assert frozenset(WAIT_CLASS_ORDER) == WAITS, \
     "WAIT_CLASS_ORDER must enumerate exactly the registered wait classes"
-
-
-def wait_breakdown(counters: Mapping[str, int]) -> dict[str, int]:
-    """Per-class microseconds from a counters mapping (non-zero only).
-
-    Accepts either a global ``StatsRegistry.counters()`` dict or a
-    per-transaction accounting ``counters`` dict — both charge waits
-    through the same ``waits.<class>_us`` names.
-    """
-    out: dict[str, int] = {}
-    for wait_class in WAIT_CLASS_ORDER:
-        micros = counters.get(wait_counter(wait_class), 0)
-        if micros:
-            out[wait_class] = micros
-    return out
 
 
 def total_wait_us(counters: Mapping[str, int]) -> int:

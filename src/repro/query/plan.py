@@ -65,6 +65,9 @@ class AccessPlan:
     #: exact and the whole predicate covered); re-evaluation still extracts
     #: the result nodes but can skip no-match documents early.
     exact: bool = False
+    #: The XPath source text the plan was built from (labels the query's
+    #: span and slow-query record; set by ``Database.plan_xpath``).
+    text: str = ""
 
     def explain(self) -> str:
         """Human-readable plan, printed by benchmarks and examples."""

@@ -25,8 +25,7 @@ from typing import Callable, Iterator
 
 from repro.analyze import sanitize as _sanitize
 from repro.core.deadline import Deadline
-from repro.core.stats import (WAITS, StatsRegistry, default_stats,
-                              wait_counter)
+from repro.core.stats import StatsRegistry, default_stats, wait_breakdown
 from repro.errors import (DeadlineExceededError, DeadlockError,
                           LockTimeoutError, TransactionError)
 from repro.rdb.locks import LockManager, LockMode
@@ -113,12 +112,7 @@ class AccountingRecord:
         is carried into its successor) and sums against the global
         ``waits.*_us`` counters in the accounting-caps check.
         """
-        out: dict[str, int] = {}
-        for wait_class in sorted(WAITS):
-            micros = self.counters.get(wait_counter(wait_class), 0)
-            if micros:
-                out[wait_class] = micros
-        return out
+        return wait_breakdown(self.counters)
 
     @property
     def wait_us(self) -> int:

@@ -383,63 +383,65 @@ class DatabaseServer:
         events = self.stats.events
         ctx = (events.context(request=request.label)
                if events is not None else nullcontext())
-        with ctx, self.stats.request_clock(
-                started_ns=request.submitted_ns) as waits:
-            self.stats.charge_wait("admission.queue", queue_wait_us)
-            if request.deadline is not None and request.deadline.expired():
-                self.stats.add("serve.deadline_expired")
-                request.finish(error=DeadlineExceededError(
-                    f"request {request.label!r} spent its deadline in the "
-                    f"admission queue ({queue_wait_us}us)"))
-                self._observe_request(request, waits)
-                return True
-            try:
-                latch_wait_from = time.monotonic_ns()
-                with self.db.latch:
-                    # Charged inside the region (from a timestamp taken
-                    # before it) so the latch stays a plain ``with`` block
-                    # for the static latch-inference checkers.
-                    self.stats.charge_wait(
-                        "latch.wait",
-                        (time.monotonic_ns() - latch_wait_from) // 1000)
-                    result = request.work(self.db)
-            except SimulatedCrash as crash:
-                # A crash plan fired on this worker: the simulated process
-                # is dead.  Record it, stop admitting, and let shutdown
-                # re-raise.
-                self._note_crash(crash)
-                with self._state_lock:
-                    self._witness("_state", write=True)
-                    if self._state == "serving":
-                        self._state = "draining"
-                request.finish(error=crash)
-                self._observe_request(request, waits)
-                return False
-            except BaseException as error:
-                # The server/client boundary: every failure is marshalled
-                # to the waiting client thread, which re-raises it from
-                # ``_Request.wait`` — nothing is swallowed.
-                # Non-``Exception`` escapees (KeyboardInterrupt,
-                # SystemExit) additionally propagate here to take the
-                # worker down.
-                if not isinstance(error, Exception):
-                    request.finish(error=error)
-                    raise
-                if isinstance(error, DeadlineExceededError):
+        try:
+            with ctx, self.stats.request_clock(
+                    started_ns=request.submitted_ns) as waits:
+                self.stats.charge_wait("admission.queue", queue_wait_us)
+                if request.deadline is not None and request.deadline.expired():
                     self.stats.add("serve.deadline_expired")
+                    request.finish(error=DeadlineExceededError(
+                        f"request {request.label!r} spent its deadline in the "
+                        f"admission queue ({queue_wait_us}us)"))
+                    return True
+                try:
+                    latch_wait_from = time.monotonic_ns()
+                    with self.db.latch:
+                        # Charged inside the region (from a timestamp taken
+                        # before it) so the latch stays a plain ``with`` block
+                        # for the static latch-inference checkers.
+                        self.stats.charge_wait(
+                            "latch.wait",
+                            (time.monotonic_ns() - latch_wait_from) // 1000)
+                        result = request.work(self.db)
+                except SimulatedCrash as crash:
+                    # A crash plan fired on this worker: the simulated process
+                    # is dead.  Record it, stop admitting, and let shutdown
+                    # re-raise.
+                    self._note_crash(crash)
+                    with self._state_lock:
+                        self._witness("_state", write=True)
+                        if self._state == "serving":
+                            self._state = "draining"
+                    request.finish(error=crash)
+                    return False
+                except BaseException as error:
+                    # The server/client boundary: every failure is marshalled
+                    # to the waiting client thread, which re-raises it from
+                    # ``_Request.wait`` — nothing is swallowed.
+                    # Non-``Exception`` escapees (KeyboardInterrupt,
+                    # SystemExit) additionally propagate here to take the
+                    # worker down.
+                    if not isinstance(error, Exception):
+                        request.finish(error=error)
+                        raise
+                    if isinstance(error, DeadlineExceededError):
+                        self.stats.add("serve.deadline_expired")
+                    else:
+                        self.stats.add("serve.failed")
+                        if isinstance(error, FaultInjectionError):
+                            self.stats.add("serve.chaos_faults")
+                    request.finish(error=error)
                 else:
-                    self.stats.add("serve.failed")
-                    if isinstance(error, FaultInjectionError):
-                        self.stats.add("serve.chaos_faults")
-                request.finish(error=error)
-            else:
-                self.stats.add("serve.completed")
-                request.finish(result=result)
+                    self.stats.add("serve.completed")
+                    request.finish(result=result)
+                return True
+        finally:
+            # Observed once the clock has closed, so ``waits`` holds
+            # the request's whole breakdown.
             self._observe_request(request, waits)
-            return True
 
     def _observe_request(self, request: _Request,
-                         waits: dict[str, int] | None = None) -> None:
+                         waits: dict[str, int]) -> None:
         elapsed_us = (time.monotonic_ns() - request.submitted_ns) // 1000
         self.stats.observe("serve.request_us", elapsed_us)
         events = self.stats.events
@@ -449,7 +451,7 @@ class DatabaseServer:
                 "serve.request", request=request.label,
                 elapsed_us=elapsed_us,
                 outcome=("ok" if error is None else type(error).__name__),
-                waits=dict(waits) if waits else {})
+                waits=dict(waits))
 
     def _purge_queue(self) -> None:
         while True:

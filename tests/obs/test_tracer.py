@@ -1,7 +1,11 @@
 """Unit tests for the tracing substrate (spans, deltas, export)."""
 
 import json
+import threading
 
+import pytest
+
+from repro.core.engine import Database
 from repro.core.stats import StatsRegistry
 from repro.obs import Span, Tracer, span_to_dict, write_trace
 from repro.obs.export import trace_to_json
@@ -116,6 +120,57 @@ class TestSpans:
                     pass
         text = tracer.root.format()
         assert "parent" in text and "child" in text and "io=1" in text
+
+
+class TestThreadLocality:
+    def test_span_does_not_see_other_threads_work(self):
+        stats = StatsRegistry()
+        tracer = Tracer(stats)
+        other = threading.Thread(target=lambda: stats.add("buffer.hits", 5))
+        with tracer.install():
+            with stats.trace("mine") as span:
+                stats.add("buffer.misses")
+                other.start()
+                other.join()
+        assert stats.get("buffer.hits") == 5
+        assert span.counters == {"buffer.misses": 1}
+        assert tracer.root.counters == {"buffer.misses": 1}
+
+    def test_tracer_is_installed_on_the_calling_thread_only(self):
+        stats = StatsRegistry()
+        tracer = Tracer(stats)
+        seen = {}
+
+        def other():
+            seen["tracer"] = stats.tracer
+            with stats.trace("theirs") as span:
+                seen["span"] = span
+
+        with tracer.install():
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+            assert stats.tracer is tracer
+        assert seen == {"tracer": None, "span": None}
+        assert tracer.root.find("theirs") is None
+
+    def test_traced_explain_copies_no_whole_registry(self, monkeypatch):
+        db = Database()
+        db.create_table("t", [("doc", "xml")])
+        db.insert("t", ("<a><b>1</b><b>2</b></a>",))
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("whole-registry copy on the query path")
+
+        monkeypatch.setattr(StatsRegistry, "counters", forbidden)
+        monkeypatch.setattr(StatsRegistry, "delta", forbidden)
+        result = db.explain_analyze("t", "doc", "/a/b")
+        assert result.row_count == 2
+        assert result.span("db.xpath").attrs["rows"] == 2
+        assert result.span("db.docid_join") is not None
+        assert result.root.counter("xscan.events") > 0
+        with pytest.raises(AssertionError, match="whole-registry"):
+            db.stats.counters()
 
 
 class TestExport:
