@@ -29,11 +29,28 @@ the same guards at runtime, cross-checked against the static inference via
 ``cross_check_field_guards``.
 """
 
-from repro.analyze.baseline import Baseline, BaselineError, write_baseline
-from repro.analyze.cli import all_checkers, main
-from repro.analyze.findings import Finding, Severity
-from repro.analyze.framework import (Checker, SourceModule, iter_python_files,
-                                     run_checkers)
+import importlib
+from typing import Any
+
+#: Public names and the submodule defining each, imported on first use:
+#: the engine imports only :mod:`~repro.analyze.sanitize`, and loading the
+#: static checkers (and the stdlib modules they use) with it would add up
+#: to ~5 MB to every engine process.
+_EXPORTS = {
+    "Baseline": "baseline", "BaselineError": "baseline",
+    "write_baseline": "baseline", "all_checkers": "cli", "main": "cli",
+    "Finding": "findings", "Severity": "findings", "Checker": "framework",
+    "SourceModule": "framework", "iter_python_files": "framework",
+    "run_checkers": "framework",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"),
+                   name)
+
 
 __all__ = [
     "Baseline",

@@ -12,6 +12,8 @@ assumptions into hard assertions:
   runtime inversion (class B taken while A is held on one path, A-after-B
   on another) trips immediately and can be cross-checked against the static
   lock-order graph;
+* **decoded page views** — every hit on a frame's cached view re-decodes
+  the page and compares (a view that outlived a write is stale);
 * **WAL** — LSN monotonicity across appends;
 * **thread-shared state** — an Eraser-style lockset discipline: latches
   wrapped in :class:`TrackedLock` record per-thread held sets, registered

@@ -70,7 +70,7 @@ METRICS: frozenset[str] = frozenset({
     "sanitize.lock_order", "sanitize.lsn_regression",
     "sanitize.active_txns_at_close", "sanitize.accounting_overcharge",
     "sanitize.race.lockset", "sanitize.waits.reconcile",
-    "sanitize.shard.mix",
+    "sanitize.shard.mix", "sanitize.decode.stale",
     # wait-state accounting (DB2 class-3 suspension analogue): microseconds
     # suspended per wait class.  Derived from :data:`WAITS` via
     # :func:`wait_counter`; both sides are listed so the registries stay

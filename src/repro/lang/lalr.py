@@ -5,9 +5,10 @@ notes that "in our case LALR(1) is used with a much simpler lexical scanner
 than what is described in the W3C specification, achieved by rewriting the
 BNF production rules" (§4).  This module provides that machinery from
 scratch: grammars are lists of productions with semantic actions; tables are
-built by constructing canonical LR(1) item sets and merging states with equal
-LR(0) cores (the classic way to obtain LALR(1) tables); conflicts are
-reported at build time.
+built from LR(1) item sets whose states with equal LR(0) cores are merged
+as they are found (the same tables as canonical LR(1) followed by merging,
+without holding the canonical states); conflicts are reported at build
+time.
 
 The generator is deliberately general — nothing in it knows about XPath —
 and is exercised independently by the test suite.
@@ -192,15 +193,20 @@ class ParserTables:
         return frozenset((p, d) for p, d, _ in items)
 
     def _build(self) -> None:
+        # LR(1) item sets, merged by LR(0) core as they are found: the
+        # result equals canonical LR(1) followed by merging (goto and
+        # closure distribute over union), but only the LALR states are
+        # ever held.  A state whose lookaheads grow is processed again so
+        # they reach its successors.
         start_set = self._closure(frozenset({(-1, 0, EOF)}))
-        # Canonical LR(1) states first.
-        states: list[frozenset[_Item]] = [start_set]
-        index_of: dict[frozenset[_Item], int] = {start_set: 0}
-        transitions: dict[tuple[int, str], int] = {}
+        merged_items: list[set[_Item]] = [set(start_set)]
+        core_index: dict[frozenset[tuple[int, int]], int] = {
+            self._core(start_set): 0}
+        merged_transitions: dict[tuple[int, str], int] = {}
         work = [0]
         while work:
             state_no = work.pop()
-            items = states[state_no]
+            items = frozenset(merged_items[state_no])
             symbols = {
                 self._productions[p].rhs[d]
                 for p, d, _ in items
@@ -210,33 +216,16 @@ class ParserTables:
                 target = self._goto_set(items, symbol)
                 if not target:
                     continue
-                if target not in index_of:
-                    index_of[target] = len(states)
-                    states.append(target)
-                    work.append(index_of[target])
-                transitions[(state_no, symbol)] = index_of[target]
-
-        # Merge states with identical LR(0) cores (LALR).
-        core_index: dict[frozenset[tuple[int, int]], int] = {}
-        merged_items: list[set[_Item]] = []
-        old_to_new: dict[int, int] = {}
-        for state_no, items in enumerate(states):
-            core = self._core(items)
-            if core not in core_index:
-                core_index[core] = len(merged_items)
-                merged_items.append(set())
-            new_no = core_index[core]
-            merged_items[new_no] |= items
-            old_to_new[state_no] = new_no
-
-        merged_transitions: dict[tuple[int, str], int] = {}
-        for (state_no, symbol), target in transitions.items():
-            key = (old_to_new[state_no], symbol)
-            value = old_to_new[target]
-            existing = merged_transitions.get(key)
-            if existing is not None and existing != value:  # pragma: no cover
-                raise GrammarError("inconsistent LALR merge (grammar bug)")
-            merged_transitions[key] = value
+                core = self._core(target)
+                target_no = core_index.get(core)
+                if target_no is None:
+                    target_no = core_index[core] = len(merged_items)
+                    merged_items.append(set(target))
+                    work.append(target_no)
+                elif not target <= merged_items[target_no]:
+                    merged_items[target_no] |= target
+                    work.append(target_no)
+                merged_transitions[(state_no, symbol)] = target_no
 
         # Fill ACTION/GOTO.
         self.action = [dict() for _ in merged_items]

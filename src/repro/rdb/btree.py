@@ -8,9 +8,14 @@ because the tree stores arbitrary ``(key, value)`` pairs with duplicates.
 
 Entries are totally ordered by the composite ``(key, value)``; internal-node
 separators carry the full composite so duplicate keys that span node splits
-still scan in order.  Nodes live on buffer-pool pages and are (de)serialized
-on access, so page touches and physical I/O are accounted like every other
-component.  Deletion is by simple removal without rebalancing (underfull
+still scan in order.  Nodes live on buffer-pool pages, so page touches and
+physical I/O are accounted like every other component.  Readers share the
+node decoded once per buffer frame (:meth:`BufferPool.view`): the frame owns
+it, a write pin or eviction drops it, and it is immutable by contract —
+the mutators decode a private copy to edit, because ``insert`` changes a
+node before writing it and a failing split must leave the shared node as
+it was.  Under ``REPRO_SANITIZE`` each shared hit is checked against a
+fresh decode.  Deletion is by simple removal without rebalancing (underfull
 nodes persist until the index is rebuilt) — a common industrial
 simplification; lookups and scans are unaffected.
 """
@@ -18,6 +23,7 @@ simplification; lookups and scans are unaffected.
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analyze import sanitize as _sanitize
@@ -34,12 +40,10 @@ _INTERNAL = 1
 Entry = tuple[bytes, bytes]
 
 
+@dataclass(slots=True)
 class _Leaf:
-    __slots__ = ("entries", "next_leaf")
-
-    def __init__(self, entries: list[Entry], next_leaf: int | None) -> None:
-        self.entries = entries
-        self.next_leaf = next_leaf
+    entries: list[Entry]
+    next_leaf: int | None
 
     def serialize(self, page_size: int) -> bytes:
         out = bytearray([_LEAF])
@@ -58,12 +62,10 @@ class _Leaf:
             for k, v in self.entries)
 
 
+@dataclass(slots=True)
 class _Internal:
-    __slots__ = ("seps", "children")
-
-    def __init__(self, seps: list[Entry], children: list[int]) -> None:
-        self.seps = seps
-        self.children = children
+    seps: list[Entry]
+    children: list[int]
 
     def serialize(self, page_size: int) -> bytes:
         out = bytearray([_INTERNAL])
@@ -143,6 +145,11 @@ class BTree:
     # -- node I/O -----------------------------------------------------------
 
     def _read(self, page_id: int) -> _Leaf | _Internal:
+        """The frame's shared node: never mutate it (see module doc)."""
+        return self.pool.view(page_id, _deserialize)
+
+    def _read_private(self, page_id: int) -> _Leaf | _Internal:
+        """A decoded copy of the node the caller may edit."""
         with self.pool.page(page_id) as data:
             return _deserialize(data)
 
@@ -186,7 +193,7 @@ class BTree:
 
     def _insert(self, page_id: int, key: bytes,
                 value: bytes) -> tuple[Entry, int] | None:
-        node = self._read(page_id)
+        node = self._read_private(page_id)
         if isinstance(node, _Leaf):
             pos = bisect.bisect_left(node.entries, (key, value))
             if self.unique:
@@ -245,7 +252,7 @@ class BTree:
             self.stats.add("btree.deletes")
             page_id = self._leaf_for(key)
             while page_id is not None:
-                node = self._read(page_id)
+                node = self._read_private(page_id)
                 assert isinstance(node, _Leaf)
                 for pos, (k, v) in enumerate(node.entries):
                     if k > key:
@@ -262,11 +269,9 @@ class BTree:
         """All values stored under exactly ``key``."""
         with self.stats.trace("btree.search", index=self.name) as span:
             self.stats.add("btree.searches")
-            before = self.stats.get("btree.entries_scanned")
             out = [v for k, v in self.scan(low=key, high=key,
                                            high_inclusive=True)]
-            self.stats.observe("btree.search_entries",
-                               self.stats.get("btree.entries_scanned") - before)
+            self.stats.observe("btree.search_entries", len(out))
             if span is not None:
                 span.set("hits", len(out))
             return out
@@ -275,26 +280,22 @@ class BTree:
         """First value under ``key`` or None (for unique indexes)."""
         with self.stats.trace("btree.search", index=self.name):
             self.stats.add("btree.searches")
-            before = self.stats.get("btree.entries_scanned")
             out = None
             for _, v in self.scan(low=key, high=key, high_inclusive=True):
                 out = v
                 break
-            self.stats.observe("btree.search_entries",
-                               self.stats.get("btree.entries_scanned") - before)
+            self.stats.observe("btree.search_entries", int(out is not None))
             return out
 
     def seek_ge(self, key: bytes) -> Entry | None:
         """Smallest entry with key ≥ ``key`` (the NodeID-index probe, §3.4)."""
         with self.stats.trace("btree.search", index=self.name):
             self.stats.add("btree.searches")
-            before = self.stats.get("btree.entries_scanned")
             out = None
             for entry in self.scan(low=key):
                 out = entry
                 break
-            self.stats.observe("btree.search_entries",
-                               self.stats.get("btree.entries_scanned") - before)
+            self.stats.observe("btree.search_entries", int(out is not None))
             return out
 
     def scan(self, low: bytes | None = None, high: bytes | None = None,

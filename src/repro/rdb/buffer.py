@@ -3,6 +3,10 @@
 Components never touch :class:`~repro.rdb.storage.Disk` directly; they fetch
 pages through the pool so experiments can separate logical page touches
 (``buffer.hits`` + ``buffer.misses``) from physical I/O (``disk.page_*``).
+
+A frame may also own a *view*, an object decoded from its bytes that its
+readers share (:meth:`BufferPool.view`); it lives until a write pin is taken
+on the frame, or the frame is evicted.
 """
 
 from __future__ import annotations
@@ -10,16 +14,19 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from repro.analyze import sanitize as _sanitize
 from repro.core.stats import StatsRegistry
 from repro.errors import BufferPoolError
 from repro.rdb.storage import Disk
 
+V = TypeVar("V")
+
 
 class _Frame:
-    __slots__ = ("data", "pin_count", "dirty", "loaded_tick")
+    __slots__ = ("data", "pin_count", "dirty", "loaded_tick", "view",
+                 "version")
 
     def __init__(self, data: bytearray, loaded_tick: int = 0) -> None:
         self.data = data
@@ -28,6 +35,20 @@ class _Frame:
         #: Pool access-clock reading when this frame was (re)loaded, so
         #: eviction can report how long the page stayed resident.
         self.loaded_tick = loaded_tick
+        #: Decoded object shared by readers (immutable by contract).
+        self.view: object = None
+        #: Sequence count of write pins: odd while one is held, bumped when
+        #: it is taken and released, so a decode made during or across a
+        #: write is never installed as the view.
+        self.version = 0
+
+    def begin_write(self) -> None:
+        self.view = None
+        self.version |= 1
+
+    def end_write(self) -> None:
+        self.view = None
+        self.version = (self.version | 1) + 1
 
 
 class BufferPool:
@@ -71,6 +92,7 @@ class BufferPool:
         frame = _Frame(bytearray(self.page_size), loaded_tick=self._clock)
         frame.pin_count = 1
         frame.dirty = True
+        frame.begin_write()
         self._frames[page_id] = frame
         self._note_pin(page_id)
         return page_id, frame.data
@@ -103,7 +125,9 @@ class BufferPool:
                 self.stats.add("sanitize.double_unpin")
             raise BufferPoolError(f"page {page_id} is not pinned")
         frame.pin_count -= 1
-        frame.dirty = frame.dirty or dirty
+        if dirty:
+            frame.dirty = True
+            frame.end_write()
         self._note_unpin(page_id)
 
     @contextmanager
@@ -111,9 +135,44 @@ class BufferPool:
         """Context manager pairing :meth:`fetch` with :meth:`unpin`."""
         data = self.fetch(page_id)
         try:
+            if write:
+                self._frames[page_id].begin_write()
             yield data
         finally:
             self.unpin(page_id, dirty=write)
+
+    def view(self, page_id: int, decode: Callable[[bytearray], V]) -> V:
+        """``decode(data)`` of page ``page_id``, decoded once per frame.
+
+        Pins and unpins like a read :meth:`page`, so hits, misses and the
+        pin ledger are those of a plain read.  The result is shared by
+        every reader of the frame and must not be mutated.  It is cached
+        only if the frame's version was even (no write pin held) and is
+        unchanged after the decode, so a latch-free reader racing a writer
+        never caches a torn or soon-stale decode; the version test and the
+        store make no call in between, so under the interpreter lock no
+        write pin can slip between them.  Under ``REPRO_SANITIZE`` each hit
+        is compared with a fresh decode (``sanitize.decode.stale``).
+        """
+        data = self.fetch(page_id)
+        try:
+            frame = self._frames[page_id]
+            version = frame.version
+            view = frame.view
+            if view is None:
+                view = decode(data)
+                if frame.version == version and not version & 1:
+                    frame.view = view
+            elif _sanitize.enabled():
+                self.stats.add("sanitize.checks")
+                # A mismatch across a concurrent write is a legal race.
+                if decode(data) != view and frame.version == version:
+                    _sanitize.trip(self.stats, "decode.stale",
+                                   f"page {page_id}: cached view differs "
+                                   f"from a fresh decode")
+            return view  # type: ignore[return-value]
+        finally:
+            self.unpin(page_id)
 
     def flush_page(self, page_id: int) -> None:
         """Write ``page_id`` back to disk if it is resident and dirty.

@@ -231,75 +231,80 @@ class QuickXScan:
             link.seq.setdefault(qnode.qid, []).append(
                 Item(order, node_id, kind, local, value))
 
-        for event in events:
-            stats.add("xscan.events")
-            order += 1
-            kind = event.kind
-            if kind is EventKind.DOC_START:
-                root_instance = push(self.query.root, event.node_id,
-                                     "document", "", None)
-            elif kind is EventKind.ELEM_START:
-                depth += 1
-                for qnode in self._element_nodes:
-                    if not qnode.matches_element(event.local, event.uri):
-                        continue
-                    link = parent_link(qnode, depth)
-                    if link is None:
-                        continue
-                    push(qnode, event.node_id, "element", event.local, link)
-            elif kind is EventKind.ELEM_END:
-                # Children-first (reverse topological) pop order so upward
-                # propagation reaches parent instances before they finalize.
-                for qid in range(len(stacks) - 1, -1, -1):
-                    stack = stacks[qid]
-                    if stack and stack[-1].depth == depth and \
-                            stack[-1].kind == "element":
-                        finalize(stack.pop())
-                depth -= 1
-            elif kind is EventKind.TEXT:
-                for collector in collectors:
-                    collector.value_parts.append(event.value)  # type: ignore[union-attr]
-                for qnode in self._leaf_nodes[Target.TEXT]:
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None and qnode.matches_leaf(
-                            Target.TEXT, "", ""):
-                        finalize_leaf(qnode, event.node_id, "text", "",
-                                      event.value, link)
-            elif kind is EventKind.ATTR:
-                for qnode in self._leaf_nodes[Target.ATTRIBUTE]:
-                    if not qnode.matches_leaf(Target.ATTRIBUTE, event.local,
-                                              event.uri):
-                        continue
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None:
-                        finalize_leaf(qnode, event.node_id, "attribute",
-                                      event.local, event.value, link)
-            elif kind is EventKind.COMMENT:
-                for qnode in self._leaf_nodes[Target.COMMENT]:
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None and qnode.matches_leaf(
-                            Target.COMMENT, "", ""):
-                        finalize_leaf(qnode, event.node_id, "comment", "",
-                                      event.value, link)
-            elif kind is EventKind.PI:
-                for qnode in self._leaf_nodes[Target.PI]:
-                    if not qnode.matches_leaf(Target.PI, event.local, ""):
-                        continue
-                    link = parent_link(qnode, depth + 1)
-                    if link is not None:
-                        finalize_leaf(qnode, event.node_id,
-                                      "processing-instruction", event.local,
-                                      event.value, link)
-            elif kind is EventKind.DOC_END:
-                if root_instance is None:
-                    raise ExecutionError("document end before start")
-                # NS events and unclosed elements would leave stacks dirty.
-                for stack in stacks[1:]:
-                    if stack:
-                        raise ExecutionError("unbalanced event stream")
-                stacks[0].pop()
-                live_units -= 1
-            # NS events carry no query-visible content here.
+        # Charged once per run, also for a stream that raises midway:
+        # ``order`` is the number of events consumed so far.
+        try:
+            for event in events:
+                order += 1
+                kind = event.kind
+                if kind is EventKind.DOC_START:
+                    root_instance = push(self.query.root, event.node_id,
+                                         "document", "", None)
+                elif kind is EventKind.ELEM_START:
+                    depth += 1
+                    for qnode in self._element_nodes:
+                        if not qnode.matches_element(event.local, event.uri):
+                            continue
+                        link = parent_link(qnode, depth)
+                        if link is None:
+                            continue
+                        push(qnode, event.node_id, "element", event.local, link)
+                elif kind is EventKind.ELEM_END:
+                    # Children-first (reverse topological) pop order so upward
+                    # propagation reaches parent instances before they finalize.
+                    for qid in range(len(stacks) - 1, -1, -1):
+                        stack = stacks[qid]
+                        if stack and stack[-1].depth == depth and \
+                                stack[-1].kind == "element":
+                            finalize(stack.pop())
+                    depth -= 1
+                elif kind is EventKind.TEXT:
+                    for collector in collectors:
+                        collector.value_parts.append(event.value)  # type: ignore[union-attr]
+                    for qnode in self._leaf_nodes[Target.TEXT]:
+                        link = parent_link(qnode, depth + 1)
+                        if link is not None and qnode.matches_leaf(
+                                Target.TEXT, "", ""):
+                            finalize_leaf(qnode, event.node_id, "text", "",
+                                          event.value, link)
+                elif kind is EventKind.ATTR:
+                    for qnode in self._leaf_nodes[Target.ATTRIBUTE]:
+                        if not qnode.matches_leaf(Target.ATTRIBUTE, event.local,
+                                                  event.uri):
+                            continue
+                        link = parent_link(qnode, depth + 1)
+                        if link is not None:
+                            finalize_leaf(qnode, event.node_id, "attribute",
+                                          event.local, event.value, link)
+                elif kind is EventKind.COMMENT:
+                    for qnode in self._leaf_nodes[Target.COMMENT]:
+                        link = parent_link(qnode, depth + 1)
+                        if link is not None and qnode.matches_leaf(
+                                Target.COMMENT, "", ""):
+                            finalize_leaf(qnode, event.node_id, "comment", "",
+                                          event.value, link)
+                elif kind is EventKind.PI:
+                    for qnode in self._leaf_nodes[Target.PI]:
+                        if not qnode.matches_leaf(Target.PI, event.local, ""):
+                            continue
+                        link = parent_link(qnode, depth + 1)
+                        if link is not None:
+                            finalize_leaf(qnode, event.node_id,
+                                          "processing-instruction", event.local,
+                                          event.value, link)
+                elif kind is EventKind.DOC_END:
+                    if root_instance is None:
+                        raise ExecutionError("document end before start")
+                    # NS events and unclosed elements would leave stacks dirty.
+                    for stack in stacks[1:]:
+                        if stack:
+                            raise ExecutionError("unbalanced event stream")
+                    stacks[0].pop()
+                    live_units -= 1
+                # NS events carry no query-visible content here.
+        finally:
+            if order:
+                stats.add("xscan.events", order)
 
         stats.add("xscan.matchings", matchings)
         stats.set_high_water("xscan.peak_units", peak_units)

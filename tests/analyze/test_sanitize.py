@@ -1,5 +1,8 @@
 """Runtime sanitizers: trips, counters, and engine wiring."""
 
+import os
+import subprocess
+import sys
 import textwrap
 import threading
 
@@ -456,6 +459,20 @@ class TestWalSanitizers:
 
 
 class TestEngineWiring:
+    def test_engine_imports_only_the_sanitizer(self):
+        # The substrate imports repro.analyze.sanitize; the static checkers
+        # must stay unloaded (they cost every engine process ~5 MB).
+        code = ("import sys, repro.core.engine, repro.serve; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.analyze')))")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(sanitize.__file__))))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == \
+            "['repro.analyze', 'repro.analyze.sanitize']"
+
     def test_txn_end_quiesce_catches_leaked_pin(self, armed):
         db = Database()
         txn = db.txns.begin()

@@ -3,8 +3,8 @@
 The cross-cutting invariant: every finished program emits exactly one
 :class:`~repro.rdb.txn.AccountingRecord`, victim attempts fold into it, and
 the records' counter deltas sum to the registry's global deltas for the
-whole run (meta ``obs.*`` counters excluded — they are bumped outside any
-charge context by design).
+whole run (meta ``obs.*`` and ``sanitize.*`` counters excluded — the
+registry never charges them to accounting records, by design).
 """
 
 from collections import Counter
@@ -22,7 +22,7 @@ def run_sum_check(result, scheduler, deltas, expected_records):
     for record in records:
         total.update(record.counters)
     visible = {name: value for name, value in deltas.items()
-               if value and not name.startswith("obs.")}
+               if value and not name.startswith(("obs.", "sanitize."))}
     assert dict(total) == visible
     return records
 
